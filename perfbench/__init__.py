@@ -1,0 +1,5 @@
+"""Repository benchmark: three workloads, end-to-end metrics, a traced per-layer run.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
